@@ -32,7 +32,6 @@ from .cost import offset_only_cost
 from .offset_static import (
     OffsetLPStats,
     OffsetMap,
-    OffsetSolution,
     PartitionPlan,
     ReplicationLabels,
     edge_is_offset_costed,
@@ -74,17 +73,6 @@ def _count_subranges(plan: PartitionPlan) -> int:
     return sum(len(v) for v in plan.values())
 
 
-def _solve_plan(
-    adg: ADG,
-    skeleton: Skeleton,
-    plan: PartitionPlan,
-    replicated: ReplicationLabels | None,
-    backend: str,
-    static: bool = False,
-) -> OffsetSolution:
-    return solve_offsets(adg, skeleton, plan, replicated, backend, static)
-
-
 def _exact_cost(
     adg: ADG,
     skeleton: Skeleton,
@@ -120,13 +108,12 @@ def fixed_partitioning(
     skeleton: Skeleton,
     m: int = 3,
     replicated: ReplicationLabels | None = None,
-    backend: str = "scipy",
     static: bool = False,
 ) -> MobileOffsetResult:
     """Partition every edge space into ``m`` equal subranges per axis and
     solve once.  Guaranteed within ``1 + 2/m**2`` of optimal."""
     plan = _plan_fixed(adg, m)
-    sol = _solve_plan(adg, skeleton, plan, replicated, backend, static)
+    sol = solve_offsets(adg, skeleton, plan, replicated, static)
     cost = _exact_cost(adg, skeleton, sol.offsets, replicated)
     return MobileOffsetResult(
         f"fixed(m={m})", sol.offsets, cost, sol.stats, 1, _count_subranges(plan)
@@ -142,14 +129,13 @@ def unrolling(
     adg: ADG,
     skeleton: Skeleton,
     replicated: ReplicationLabels | None = None,
-    backend: str = "scipy",
     static: bool = False,
 ) -> MobileOffsetResult:
     """Every iteration its own subrange: the exact mobile-offset optimum
     (over affine alignments), at the price of an LP that scales with the
     iteration count."""
     plan = _plan_unrolled(adg)
-    sol = _solve_plan(adg, skeleton, plan, replicated, backend, static)
+    sol = solve_offsets(adg, skeleton, plan, replicated, static)
     cost = _exact_cost(adg, skeleton, sol.offsets, replicated)
     return MobileOffsetResult(
         "unrolling", sol.offsets, cost, sol.stats, 1, _count_subranges(plan)
@@ -165,7 +151,6 @@ def state_space_search(
     adg: ADG,
     skeleton: Skeleton,
     replicated: ReplicationLabels | None = None,
-    backend: str = "scipy",
     max_passes: int = 4,
     static: bool = False,
 ) -> MobileOffsetResult:
@@ -178,7 +163,7 @@ def state_space_search(
     their roots.
     """
     plan = _plan_fixed(adg, 1)
-    sol = _solve_plan(adg, skeleton, plan, replicated, backend, static)
+    sol = solve_offsets(adg, skeleton, plan, replicated, static)
     offsets = dict(sol.offsets)
     best = _exact_cost(adg, skeleton, offsets, replicated)
     # Group ports per node: moving a node's ports together preserves all
@@ -226,7 +211,6 @@ def tracking_zero_crossings(
     adg: ADG,
     skeleton: Skeleton,
     replicated: ReplicationLabels | None = None,
-    backend: str = "scipy",
     max_iter: int = 8,
     static: bool = False,
 ) -> MobileOffsetResult:
@@ -234,7 +218,7 @@ def tracking_zero_crossings(
     solved spans' zero crossings and re-solve until the cost stops
     improving (convergence is not guaranteed; the paper says so)."""
     plan = _plan_fixed(adg, 2)
-    sol = _solve_plan(adg, skeleton, plan, replicated, backend, static)
+    sol = solve_offsets(adg, skeleton, plan, replicated, static)
     best_offsets = sol.offsets
     best = _exact_cost(adg, skeleton, best_offsets, replicated)
     stats = list(sol.stats)
@@ -253,7 +237,7 @@ def tracking_zero_crossings(
             break
         iters += 1
         plan = newplan
-        sol = _solve_plan(adg, skeleton, plan, replicated, backend, static)
+        sol = solve_offsets(adg, skeleton, plan, replicated, static)
         stats.extend(sol.stats)
         c = _exact_cost(adg, skeleton, sol.offsets, replicated)
         if c < best:
@@ -275,14 +259,13 @@ def recursive_refinement(
     adg: ADG,
     skeleton: Skeleton,
     replicated: ReplicationLabels | None = None,
-    backend: str = "scipy",
     max_iter: int = 8,
     static: bool = False,
 ) -> MobileOffsetResult:
     """One subrange; split any subrange whose solved span changes sign at
     the crossing; re-solve; repeat until clean, stalled, or capped."""
     plan: PartitionPlan = _plan_fixed(adg, 1)
-    sol = _solve_plan(adg, skeleton, plan, replicated, backend, static)
+    sol = solve_offsets(adg, skeleton, plan, replicated, static)
     best_offsets = sol.offsets
     best = _exact_cost(adg, skeleton, best_offsets, replicated)
     stats = list(sol.stats)
@@ -314,7 +297,7 @@ def recursive_refinement(
             break
         iters += 1
         plan = newplan
-        sol = _solve_plan(adg, skeleton, plan, replicated, backend, static)
+        sol = solve_offsets(adg, skeleton, plan, replicated, static)
         stats.extend(sol.stats)
         c = _exact_cost(adg, skeleton, sol.offsets, replicated)
         if c < best:
@@ -346,7 +329,6 @@ def solve_mobile_offsets(
     skeleton: Skeleton,
     algorithm: str = "fixed",
     replicated: ReplicationLabels | None = None,
-    backend: str = "scipy",
     **kw,
 ) -> MobileOffsetResult:
     """Entry point: run one of the five Section 4.2 algorithms."""
@@ -356,4 +338,4 @@ def solve_mobile_offsets(
         raise ValueError(
             f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
         ) from None
-    return fn(adg, skeleton, replicated=replicated, backend=backend, **kw)
+    return fn(adg, skeleton, replicated=replicated, **kw)

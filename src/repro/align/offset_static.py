@@ -38,7 +38,7 @@ from ..ir.affine import AffineForm
 from ..ir.closedform import weighted_moments
 from ..ir.itspace import IterationSpace
 from ..ir.symbols import LIV
-from ..solvers.lp import LinExpr, LPModel
+from ..solvers.lp import LinExpr, LPError, LPModel
 from .constraints import EntryEval, EqualShift, LoopBack, OffsetRelation, node_offset_relations
 from .position import Alignment
 
@@ -56,10 +56,15 @@ Slot = tuple[str, object]  # (Port.key, None | LIV)
 
 @dataclass
 class OffsetLPStats:
+    """Size, optimum and certificate residuals of one solved offset LP."""
+
     axis: int
     num_vars: int
     num_constraints: int
     objective: float
+    primal_residual: float
+    stationarity: float
+    rel_gap: float
 
 
 @dataclass
@@ -100,7 +105,6 @@ class OffsetLP:
         axis: int,
         plan: PartitionPlan,
         replicated: ReplicationLabels | None = None,
-        backend: str = "scipy",
         static: bool = False,
     ) -> None:
         self.adg = adg
@@ -108,7 +112,6 @@ class OffsetLP:
         self.axis = axis
         self.plan = plan
         self.replicated = replicated or set()
-        self.backend = backend
         self.static = static
         self.model = LPModel(f"offset-axis{axis}")
         self.vars: dict[Slot, object] = {}
@@ -256,18 +259,22 @@ class OffsetLP:
 
     def solve(self) -> tuple[dict[Slot, Fraction], OffsetLPStats]:
         self.build()
-        sol = self.model.solve(backend=self.backend)
+        sol = self.model.solve()
         if sol.status != "optimal":
-            raise RuntimeError(f"offset LP axis {self.axis}: {sol.status}")
+            raise LPError(f"offset LP axis {self.axis}: {sol.status}")
         values = {
             key: Fraction(sol.values[v]).limit_denominator(10**9)
             for key, v in self.vars.items()
         }
+        cert = sol.certificate
         stats = OffsetLPStats(
             self.axis,
             self.model.num_vars,
             self.model.num_constraints,
             sol.objective,
+            cert.primal_residual,
+            cert.stationarity,
+            cert.rel_gap,
         )
         return values, stats
 
@@ -366,14 +373,13 @@ def solve_offsets(
     skeleton: Mapping[str, Alignment],
     plan: PartitionPlan,
     replicated: ReplicationLabels | None = None,
-    backend: str = "scipy",
     static: bool = False,
 ) -> OffsetSolution:
     """Solve the offset problem for every template axis under one plan."""
     offsets: OffsetMap = {}
     stats = []
     for axis in range(adg.template_rank):
-        lp = OffsetLP(adg, skeleton, axis, plan, replicated, backend, static)
+        lp = OffsetLP(adg, skeleton, axis, plan, replicated, static)
         values, st = lp.solve()
         offsets.update(lp.rounded_offsets(values))
         stats.append(st)

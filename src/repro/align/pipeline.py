@@ -49,7 +49,7 @@ _DISTRIB_ONLY_KEYS = frozenset(
 )
 #: Alignment keywords that belong in ``align_kw`` — the other direction.
 _ALIGN_ONLY_KEYS = frozenset(
-    {"algorithm", "backend", "replication", "mobile", "max_replication_rounds",
+    {"algorithm", "replication", "mobile", "max_replication_rounds",
      "info"}
 )
 
@@ -109,22 +109,15 @@ class AlignmentPlan:
         return "\n".join(lines)
 
 
-def plan_context(
-    program: Program,
-    info: TypeInfo | None = None,
-    algorithm: str = "fixed",
-    backend: str = "scipy",
-    replication: bool = True,
-    mobile: bool = True,
-    max_replication_rounds: int = 3,
-    **alg_kw,
-):
+def plan_context(program: Program, info: TypeInfo | None = None, **align_kw):
     """A :class:`~repro.passes.core.PlanContext` seeded for ``program``.
 
     The shared front door for every consumer of the staged pipeline
     (wrappers, CLI, batch engine, benchmarks): puts the program, the
     frozen alignment options and — when supplied — a precomputed
-    :class:`TypeInfo` onto a fresh context.
+    :class:`TypeInfo` onto a fresh context.  ``align_kw`` are the
+    keywords of :meth:`repro.passes.AlignOptions.of`, which owns their
+    defaults.
     """
     from ..passes import AlignOptions, PlanContext
 
@@ -132,52 +125,28 @@ def plan_context(
     ctx.put("program", program)
     if info is not None:
         ctx.put("typeinfo", info)
-    ctx.put(
-        "align_options",
-        AlignOptions.of(
-            algorithm=algorithm,
-            backend=backend,
-            replication=replication,
-            mobile=mobile,
-            max_replication_rounds=max_replication_rounds,
-            **alg_kw,
-        ),
-    )
+    ctx.put("align_options", AlignOptions.of(**align_kw))
     return ctx
 
 
 def align_program(
-    program: Program,
-    algorithm: str = "fixed",
-    backend: str = "scipy",
-    replication: bool = True,
-    mobile: bool = True,
-    max_replication_rounds: int = 3,
-    info: TypeInfo | None = None,
-    **alg_kw,
+    program: Program, *, info: TypeInfo | None = None, **align_kw
 ) -> AlignmentPlan:
     """Run the complete alignment analysis on a program.
 
     ``algorithm`` selects the Section 4.2 mobile-offset algorithm;
     ``mobile=False`` computes the best *static* alignment baseline
     (program variables pinned, derived positions still track sections);
-    ``replication=False`` disables Section 5 labeling (every port N).
+    ``replication=False`` disables Section 5 labeling (every port N);
+    ``max_replication_rounds`` caps the replication fixpoint; any other
+    keyword goes to the algorithm (e.g. ``m`` for fixed partitioning).
 
     Thin wrapper: builds a plan context and runs the registered pass
     pipeline to the ``"plan"`` goal.
     """
     from ..passes import Pipeline
 
-    ctx = plan_context(
-        program,
-        info=info,
-        algorithm=algorithm,
-        backend=backend,
-        replication=replication,
-        mobile=mobile,
-        max_replication_rounds=max_replication_rounds,
-        **alg_kw,
-    )
+    ctx = plan_context(program, info=info, **align_kw)
     Pipeline().run(ctx, goal="plan")
     return ctx.get("plan")
 

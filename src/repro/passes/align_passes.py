@@ -23,6 +23,7 @@ from ..adg.build import build_adg
 from ..align.axis_stride import solve_axis_stride
 from ..align.cost import assemble_alignments, total_cost
 from ..align.offset_mobile import solve_mobile_offsets
+from ..align.offset_static import OffsetLPStats
 from ..align.replication import label_replication
 from ..lang.typecheck import typecheck
 from .core import FixpointPass, Pass, PlanContext
@@ -39,7 +40,6 @@ class AlignOptions:
     """
 
     algorithm: str = "fixed"
-    backend: str = "scipy"
     replication: bool = True
     mobile: bool = True
     max_replication_rounds: int = 3
@@ -49,7 +49,6 @@ class AlignOptions:
     def of(
         cls,
         algorithm: str = "fixed",
-        backend: str = "scipy",
         replication: bool = True,
         mobile: bool = True,
         max_replication_rounds: int = 3,
@@ -57,7 +56,6 @@ class AlignOptions:
     ) -> "AlignOptions":
         return cls(
             algorithm,
-            backend,
             replication,
             mobile,
             max_replication_rounds,
@@ -105,6 +103,7 @@ class _FixpointState:
     replication: Any = None
     offsets: Any = None
     replicated: set[tuple[str, int]] = field(default_factory=set)
+    lp_stats: list[OffsetLPStats] = field(default_factory=list)  # all rounds
 
 
 class ReplicationFixpointPass(FixpointPass):
@@ -143,10 +142,10 @@ class ReplicationFixpointPass(FixpointPass):
                 skel.skeletons,
                 opts.algorithm,
                 replicated=state.replicated,
-                backend=opts.backend,
                 static=not opts.mobile,
                 **opts.algorithm_kwargs,
             )
+            state.lp_stats.extend(state.offsets.lp_stats)
             return state, True
         state.replication = label_replication(
             adg, skel.skeletons, program, state.offsets_in
@@ -157,10 +156,10 @@ class ReplicationFixpointPass(FixpointPass):
             skel.skeletons,
             opts.algorithm,
             replicated=new_rep,
-            backend=opts.backend,
             static=not opts.mobile,
             **opts.algorithm_kwargs,
         )
+        state.lp_stats.extend(state.offsets.lp_stats)
         state.offsets_in = state.offsets.offsets
         converged = new_rep == state.seen
         state.seen = new_rep
@@ -174,6 +173,14 @@ class ReplicationFixpointPass(FixpointPass):
         ctx.put("offsets", state.offsets)
         ctx.put("replicated", state.replicated)
         ctx.put("replication_rounds", rounds)
+        lps = state.lp_stats
+        ctx.annotate(
+            lp_vars=sum(st.num_vars for st in lps),
+            lp_rows=sum(st.num_constraints for st in lps),
+            lp_primal_residual=max((st.primal_residual for st in lps), default=0.0),
+            lp_stationarity=max((st.stationarity for st in lps), default=0.0),
+            lp_rel_gap=max((st.rel_gap for st in lps), default=0.0),
+        )
 
 
 class AssemblePass(Pass):

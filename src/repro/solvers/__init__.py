@@ -1,12 +1,15 @@
-"""Optimization substrates: LP (simplex + HiGHS), max-flow/min-cut, DP.
+"""Optimization substrates: LP (HiGHS, certified), max-flow/min-cut, DP.
 
-These are the "standard packages" the paper assumes; all are implemented
-from scratch here, with scipy/networkx used only as cross-checks.
+These are the "standard packages" the paper assumes.  Max-flow/min-cut
+and the labeling DP are implemented from scratch here, with networkx used
+only as a cross-check in the tests.  Linear programs are solved by HiGHS
+(through scipy), the single LP solver; every optimal answer is
+certified against the model before it is returned.
 """
 
-from .lp import Constraint, LinExpr, LPModel, LPSolution, Variable
-from .simplex import SimplexError, solve_simplex
-from .scipy_backend import solve_scipy
+from .lp import (
+    Constraint, LinExpr, LPCertificateError, LPError, LPModel, LPSolution, Variable
+)
 from .maxflow import INF, FlowNetwork
 from .dp import (
     DiscreteLabelingProblem,
@@ -18,12 +21,11 @@ from .dp import (
 __all__ = [
     "Constraint",
     "LinExpr",
+    "LPCertificateError",
+    "LPError",
     "LPModel",
     "LPSolution",
     "Variable",
-    "SimplexError",
-    "solve_simplex",
-    "solve_scipy",
     "INF",
     "FlowNetwork",
     "DiscreteLabelingProblem",

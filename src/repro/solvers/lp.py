@@ -3,21 +3,45 @@
 Section 4.1 reduces offset alignment to linear programming: minimize
 ``sum w_xy * theta_xy`` subject to ``theta_xy >= +-(pi_x - pi_y)`` plus the
 linear node constraints.  This module is the declarative model those
-reductions target; it is solver-agnostic, with two interchangeable
-backends (:mod:`repro.solvers.simplex` from scratch, and
-:mod:`repro.solvers.scipy_backend` wrapping HiGHS).
+reductions target.  :meth:`LPModel.solve` hands it to HiGHS (through
+``scipy.optimize.linprog``), the single LP solver, and trusts no answer
+it has not checked: every optimal solution is certified against the
+model's own dense arrays — primal feasibility, the reported objective,
+dual stationarity with the sign conditions on the multipliers, and the
+duality gap — before it is returned (solve fast in floating point, then
+verify, as Etessami, Stewart & Yannakakis advocate).  A failed check
+raises :class:`LPCertificateError`.
 
 Variables are free (unbounded both ways) by default, matching offsets
-which may be negative; the backends handle the free-variable split.
+which may be negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Literal, Mapping, Sequence, Union
+from typing import Literal, Mapping, Union
+
+import numpy as np
+from scipy.optimize import linprog
 
 Number = Union[int, float, Fraction]
+
+#: Relative tolerance of every certificate check (:func:`certify` scales
+#: each residual by the magnitudes it sums).  HiGHS works to 1e-7 on its
+#: scaled model; over the paper programs, kernels, generator families
+#: and the n = 100…400 extent sweep its worst residuals are 3.6e-9
+#: (primal), 1.7e-10 (stationarity) and 1.7e-14 (gap), so 1e-6 leaves a
+#: wide margin for round-off while a wrong answer misses it by far.
+CERT_TOL = 1e-6
+
+
+class LPError(RuntimeError):
+    """The LP solver failed to return an answer."""
+
+
+class LPCertificateError(LPError):
+    """An answer reported optimal failed its certificate check."""
 
 
 @dataclass(frozen=True)
@@ -124,11 +148,22 @@ class Constraint:
     name: str = ""
 
 
+@dataclass(frozen=True)
+class LPCertificate:
+    """Relative residuals of a certified optimum, each at most
+    :data:`CERT_TOL`."""
+
+    primal_residual: float
+    stationarity: float
+    rel_gap: float
+
+
 @dataclass
 class LPSolution:
     status: Literal["optimal", "infeasible", "unbounded"]
     objective: float = 0.0
     values: dict[Variable, float] = field(default_factory=dict)
+    certificate: LPCertificate | None = None
 
     def __getitem__(self, v: Variable) -> float:
         return self.values[v]
@@ -143,7 +178,7 @@ class LPModel:
         x = m.var("x"); y = m.var("y", lower=0)
         m.add(x - y, ">=", 1)
         m.minimize(x + 2*y)
-        sol = m.solve(backend="simplex")
+        sol = m.solve()
     """
 
     def __init__(self, name: str = "lp") -> None:
@@ -207,19 +242,39 @@ class LPModel:
     def num_constraints(self) -> int:
         return len(self.constraints)
 
-    def solve(self, backend: str = "simplex") -> LPSolution:
-        """Solve with the chosen backend ("simplex" or "scipy")."""
-        if backend == "simplex":
-            from .simplex import solve_simplex
+    def solve(self) -> LPSolution:
+        """Solve with HiGHS; certify and return an optimal answer.
 
-            return solve_simplex(self)
-        if backend == "scipy":
-            from .scipy_backend import solve_scipy
+        Raises :class:`LPError` when HiGHS fails outright and
+        :class:`LPCertificateError` when it reports an optimum that does
+        not pass :func:`certify`.
+        """
+        dense = self.to_dense()
+        c, a_ub, b_ub, a_eq, b_eq, bounds = dense
+        res = linprog(
+            c,
+            A_ub=a_ub if a_ub.size else None,
+            b_ub=b_ub if b_ub.size else None,
+            A_eq=a_eq if a_eq.size else None,
+            b_eq=b_eq if b_eq.size else None,
+            bounds=bounds,
+            method="highs",
+        )
+        if res.status == 2:
+            return LPSolution("infeasible")
+        if res.status == 3:
+            return LPSolution("unbounded")
+        if not res.success:
+            raise LPError(f"{self.name}: HiGHS failed: {res.message}")
+        y_ub, y_eq = res.ineqlin.marginals, res.eqlin.marginals
+        z_lo, z_hi = res.lower.marginals, res.upper.marginals
+        cert = certify(dense, res.x, res.fun, y_ub, y_eq, z_lo, z_hi, name=self.name)
+        values = {v: float(res.x[v.index]) for v in self.variables}
+        return LPSolution(
+            "optimal", float(res.fun) + self.objective.const, values, cert
+        )
 
-            return solve_scipy(self)
-        raise ValueError(f"unknown LP backend {backend!r}")
-
-    # -- dense export shared by backends ------------------------------------
+    # -- dense export -----------------------------------------------------------
 
     def to_dense(self):
         """Return ``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` as numpy arrays.
@@ -227,35 +282,95 @@ class LPModel:
         All constraints are normalized: ``<=`` rows in A_ub, ``==`` rows in
         A_eq (``>=`` rows are negated into ``<=``).
         """
-        import numpy as np
-
         n = self.num_vars
-        c = np.zeros(n)
-        for v, coef in self.objective.coeffs.items():
-            c[v.index] = coef
-        a_ub: list[list[float]] = []
-        b_ub: list[float] = []
-        a_eq: list[list[float]] = []
-        b_eq: list[float] = []
+
+        def dense_row(expr: LinExpr, sign: float) -> np.ndarray:
+            row = np.zeros(n)
+            for v, coef in expr.coeffs.items():
+                row[v.index] = sign * coef
+            return row
+
+        rows: dict[str, tuple[list, list]] = {"<=": ([], []), "==": ([], [])}
         for con in self.constraints:
-            row = [0.0] * n
-            for v, coef in con.expr.coeffs.items():
-                row[v.index] = coef
-            if con.sense == "<=":
-                a_ub.append(row)
-                b_ub.append(con.rhs)
-            elif con.sense == ">=":
-                a_ub.append([-x for x in row])
-                b_ub.append(-con.rhs)
-            else:
-                a_eq.append(row)
-                b_eq.append(con.rhs)
-        bounds = list(zip(self.lower, self.upper))
+            sign = -1.0 if con.sense == ">=" else 1.0
+            a, b = rows["==" if con.sense == "==" else "<="]
+            a.append(dense_row(con.expr, sign))
+            b.append(sign * con.rhs)
+        (a_ub, b_ub), (a_eq, b_eq) = rows["<="], rows["=="]
         return (
-            c,
-            np.array(a_ub) if a_ub else np.zeros((0, n)),
-            np.array(b_ub),
-            np.array(a_eq) if a_eq else np.zeros((0, n)),
-            np.array(b_eq),
-            bounds,
+            dense_row(self.objective, 1.0),
+            np.array(a_ub).reshape(len(a_ub), n),
+            np.array(b_ub, dtype=float),
+            np.array(a_eq).reshape(len(a_eq), n),
+            np.array(b_eq, dtype=float),
+            list(zip(self.lower, self.upper)),
         )
+
+
+def _max(v: np.ndarray) -> float:
+    """Largest entry (NaN if any entry is NaN), 0 for an empty vector."""
+    return float(v.max()) if v.size else 0.0
+
+
+def certify(dense, x, objective, y_ub, y_eq, z_lo, z_hi, name="lp") -> LPCertificate:
+    """Certify ``x`` as an optimum of ``dense`` (:meth:`LPModel.to_dense`).
+
+    ``objective`` is the solver's reported ``c·x``.  The multipliers use
+    HiGHS's marginal convention for ``min c·x`` subject to
+    ``A_ub x <= b_ub``, ``A_eq x == b_eq``, ``lo <= x <= hi``:
+    ``y_ub <= 0``, ``z_lo >= 0``, ``z_hi <= 0``, zero on an infinite bound.
+    Primal feasibility (rows and bounds), the reported objective against
+    ``c·x``, stationarity ``c − A_ubᵀy_ub − A_eqᵀy_eq − z_lo − z_hi = 0``
+    with those sign conditions, and the duality gap are each measured
+    relative to the magnitudes they sum; together they prove optimality.
+    Returns the residuals, or raises :class:`LPCertificateError` naming
+    the worst check over :data:`CERT_TOL`.
+    """
+    c, a_ub, b_ub, a_eq, b_eq, bounds = dense
+    x, y_ub, y_eq, z_lo, z_hi = (
+        np.asarray(v, dtype=float) for v in (x, y_ub, y_eq, z_lo, z_hi)
+    )
+    lo = np.array([-np.inf if b is None else b for b, _ in bounds], dtype=float)
+    hi = np.array([np.inf if b is None else b for _, b in bounds], dtype=float)
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    a, b = np.vstack([a_ub, a_eq]), np.concatenate([b_ub, b_eq])
+    y = np.concatenate([y_ub, y_eq])
+    ax, abs_a = np.abs(x), np.abs(a)
+
+    excess = a @ x - b
+    n_ub = len(b_ub)
+    excess[:n_ub] = np.maximum(excess[:n_ub], 0.0)  # slack <= rows are fine
+    out_of_bounds = np.maximum(np.maximum(lo - x, x - hi), 0.0)
+    primal_residual = _max(np.concatenate([
+        np.abs(excess) / (1 + np.abs(b) + abs_a @ ax),
+        out_of_bounds / (1 + ax),
+    ]))
+
+    grad = c - a.T @ y - z_lo - z_hi
+    grad_scale = 1 + np.abs(c) + abs_a.T @ np.abs(y) + np.abs(z_lo) + np.abs(z_hi)
+    wrong_sign = np.concatenate([
+        np.maximum(y_ub, 0.0),
+        np.where(has_lo, np.maximum(-z_lo, 0.0), np.abs(z_lo)),
+        np.where(has_hi, np.maximum(z_hi, 0.0), np.abs(z_hi)),
+    ])
+    dual_scale = 1 + _max(np.abs(np.concatenate([y, z_lo, z_hi])))
+    stationarity = _max(
+        np.concatenate([np.abs(grad) / grad_scale, wrong_sign / dual_scale])
+    )
+
+    primal = float(c @ x)
+    lo_f, hi_f = np.where(has_lo, lo, 0.0), np.where(has_hi, hi, 0.0)
+    dual = float(b @ y + lo_f @ z_lo + hi_f @ z_hi)
+    checks = {
+        "primal residual": primal_residual,
+        "objective error": abs(float(objective) - primal) / (1 + float(np.abs(c) @ ax)),
+        "stationarity": stationarity,
+        "duality gap": abs(primal - dual) / (1 + abs(primal) + abs(dual)),
+    }
+    failed = {k: v for k, v in checks.items() if not v <= CERT_TOL}  # NaN fails
+    if failed:
+        what = max(failed, key=lambda k: np.nan_to_num(failed[k], nan=np.inf))
+        raise LPCertificateError(
+            f"{name}: {what} {failed[what]:.3g} exceeds {CERT_TOL:g}"
+        )
+    return LPCertificate(primal_residual, stationarity, checks["duality gap"])

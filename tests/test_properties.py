@@ -126,7 +126,7 @@ class TestLPProperties:
             m.add_abs_bound(t, x - a)
             obj = t * w if obj is None else obj + t * w
         m.minimize(obj)
-        s = m.solve("scipy")
+        s = m.solve()
         best = min(
             sum(w * abs(c - a) for w, a in points)
             for c in {a for _, a in points}
