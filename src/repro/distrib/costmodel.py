@@ -4,12 +4,15 @@ The planner must compare hundreds of candidate distributions, so it
 cannot afford to re-walk the ADG (re-evaluating affine offsets over
 every iteration space) per candidate the way
 :func:`repro.machine.executor.measure_traffic` does.  Instead,
-:func:`build_profile` walks the aligned ADG **once** and compiles it
-into a :class:`CommProfile` — a deduplicated list of move records, each
+:func:`build_profile` compiles the aligned ADG **once** into a
+:class:`CommProfile` — a deduplicated list of move records, each
 holding the template coordinates of one object move's elements per
 active axis (exactly the arrays :func:`repro.machine.comm.count_move`
-would build) plus a multiplicity.  Evaluating a candidate distribution
-is then a handful of vectorized map/abs/sum passes over the records.
+would build) plus a multiplicity.  Alignments are affine in the LIVs,
+so a move is fixed by a few evaluated numbers — its geometry key, the
+shape plus (axis, stride, offset) per template axis at each end — and
+the compiler does array work once per distinct recorded geometry, not
+once per element per iteration point.
 
 Because the records hold the *same coordinates* the executor maps, the
 model is exact by construction: for any distribution,
@@ -33,8 +36,9 @@ profile serves any number of machine models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,17 +46,15 @@ from ..adg.graph import ADG
 from ..align.cost import AlignmentMap
 from ..align.position import Alignment
 from ..cachestats import MISS, BoundedCache, _cell
+from ..ir.itspace import IterationSpace
 from ..machine.comm import _axis_positions
 from ..machine.distribution import AxisDistribution, Distribution
 from ..machine.executor import _shape_at
 from ..topology import AxisMetric, Topology, distribution_metrics
 
-# Move-record compilation re-builds the same per-axis coordinate arrays
-# once per iteration point even when the evaluated strides/offsets are
-# identical across points (every static-offset edge).  The arrays are
-# pure functions of (shape, per-axis evaluated numbers), so they cache
-# across points, edges and programs.  Cached arrays are shared and must
-# be treated as read-only by all consumers.
+# Per-axis coordinate arrays are pure functions of (shape, per-axis
+# evaluated numbers), so they cache across geometry keys, edges and
+# programs.  Cached arrays are shared and read-only.
 _POSITIONS = BoundedCache("distrib.move_records", maxsize=2048)
 _AXIS_HOPS_STATS = _cell("distrib.axis_hops")
 
@@ -64,10 +66,13 @@ def _axis_key(align: Alignment, env) -> tuple:
             parts.append("R")
         elif ax.is_body:
             assert ax.stride is not None
+            # The exact stride decides a stride mismatch; coordinates
+            # use its integer part, as _axis_positions does.
+            stride = ax.stride.evaluate(env)
             parts.append(
                 (
                     ax.array_axis,
-                    int(ax.stride.evaluate(env)),
+                    int(stride) if stride.denominator == 1 else stride,
                     int(ax.offset.evaluate(env)),
                 )
             )
@@ -79,20 +84,12 @@ def _axis_key(align: Alignment, env) -> tuple:
 def _cached_axis_positions(
     align: Alignment, shape: tuple[int, ...], env
 ) -> tuple[np.ndarray, ...]:
-    """Memoized :func:`repro.machine.comm._axis_positions`.
+    """Memoized :func:`repro.machine.comm._axis_positions`, keyed on the
+    evaluated per-axis numbers, not on the LIV environment.
 
-    Keyed on the *evaluated* per-axis numbers (matching the ``int()``
-    casts inside ``_axis_positions``), not on the LIV environment, so
-    static offsets hit once per distinct geometry instead of once per
-    iteration point.
-
-    Entries are immutable by construction: a **tuple** of **read-only**
-    arrays, frozen on the one store path — so no consumer can swap an
-    element of a cached container or write through a cached array, and
-    an entry re-stored after a :class:`BoundedCache` eviction goes
-    through the same freeze and can never hand out writable aliases.
-    The mutation-detection tests write through every returned array and
-    expect numpy to refuse.
+    Entries are a **tuple** of **read-only** arrays, frozen on the one
+    store path (re-stores after an eviction included), so no consumer
+    can swap an element or write through a cached array.
     """
     key = (shape, _axis_key(align, env))
     pos = _POSITIONS.lookup(key)
@@ -177,7 +174,7 @@ class CommProfile:
     # again per local-search restart.  Keyed on the candidate's scheme
     # parameters; excluded from equality/repr.
     _hops_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    # Padded coordinate tensors for the vectorized front-pricing path
+    # Folded coordinate tuples for the vectorized front-pricing path
     # (:mod:`repro.distrib.vectorized`), compiled lazily once per
     # profile; excluded from equality/repr like the hop memo.
     _front_tensors: object = field(default=None, repr=False, compare=False)
@@ -227,7 +224,7 @@ class CommProfile:
         ``(len(dists), 3)`` array with columns ``(hops, moved,
         broadcast)``, row ``i`` equal to ``self.evaluate(dists[i],
         topology)`` — priced in a handful of broadcasted array ops over
-        the profile's padded coordinate tensors
+        the profile's folded coordinate tuples
         (:mod:`repro.distrib.vectorized`).
         """
         from .vectorized import evaluate_front
@@ -292,86 +289,111 @@ class CommProfile:
         )
 
 
-def _stride_mismatch(src, dst, env) -> bool:
-    for a1, a2 in zip(src.axes, dst.axes):
-        if a1.is_body:
-            assert a1.stride is not None and a2.stride is not None
-            if a1.stride.evaluate(env) != a2.stride.evaluate(env):
-                return True
-    return False
+def _edge_points(e, src: Alignment, dst: Alignment):
+    """``(env, multiplicity)`` over the LIVs an edge's geometry reads.
+
+    Loops the shape and both alignments do not mention repeat the same
+    move, so only the read LIVs are walked (outermost first, which meets
+    geometries in the full walk's order) and each point counts the trip
+    count of the rest: an edge with no LIV terms is one point.
+    """
+    forms = [*e.tail.shape, *(ax.offset for ax in src.axes + dst.axes)]
+    forms += [ax.stride for ax in src.axes + dst.axes if ax.stride is not None]
+    read = frozenset().union(*(f.livs() for f in forms))
+    keep = [i for i, liv in enumerate(e.space.livs) if liv in read]
+    sub = IterationSpace(
+        tuple(e.space.livs[i] for i in keep),
+        tuple(e.space.triplets[i] for i in keep),
+    )
+    mult = e.space.count // sub.count if sub.count else 0
+    for env in sub.points() if mult else ():
+        yield env, mult
+
+
+def _body(part) -> tuple | None:
+    """(array axis, stride) of a body axis key part, None otherwise: two
+    ends differ here exactly on an axis or stride mismatch."""
+    return None if part == "R" or part[0] is None else part[:2]
+
+
+def _part_bounds(part, shape: tuple[int, ...]) -> tuple[int, int]:
+    """(lo, hi) coordinate of a non-replicated axis key part."""
+    if part[0] is None:
+        return part[1], part[1]
+    axis, stride, off = part
+    ends = (off + int(stride), off + int(stride) * (shape[axis] if shape else 1))
+    return min(ends), max(ends)
 
 
 def build_profile(adg: ADG, alignments: AlignmentMap) -> CommProfile:
     """Compile an aligned ADG into a :class:`CommProfile`.
 
     Mirrors the classification of :func:`repro.machine.comm.count_move`
-    move for move; the only difference is that distribution-dependent
-    moves are *recorded* (coordinates kept) instead of counted under one
-    fixed distribution.
+    move for move, but records distribution-dependent moves (coordinates
+    kept) instead of counting them under one distribution.  A move is a
+    function of its geometry key ``(shape, _axis_key(src),
+    _axis_key(dst))``: the walk over iteration points only counts keys,
+    then each distinct key is classified once, its window bounds are
+    read off (stride, offset, extent), and coordinate arrays are built
+    for recorded moves only.
     """
     rank = adg.template_rank
     profile = CommProfile(template_rank=rank)
-    lo: list[int | None] = [None] * rank
-    hi: list[int | None] = [None] * rank
-    dedup: dict[tuple, MoveRecord] = {}
+    keys: dict[tuple, list] = {}  # key -> [count, src, dst, first env]
     for e in adg.edges:
         src = alignments[e.tail.key]
         dst = alignments[e.head.key]
-        for env in e.space.points():
-            shape = _shape_at(e.tail, env)
-            n = int(np.prod(shape)) if shape else 1
-            profile.elements += n
-            src_pos = _cached_axis_positions(src, shape, env)
-            dst_pos = _cached_axis_positions(dst, shape, env)
-            # Window bounds (same rule as executor.coordinate_bounds,
-            # folded into this walk): min/max coordinate of either
-            # endpoint on every non-replicated axis.
-            for align, pos in ((src, src_pos), (dst, dst_pos)):
-                for t, (ax, arr) in enumerate(zip(align.axes, pos)):
-                    if ax.is_replicated or arr.size == 0:
-                        continue
-                    a_lo, a_hi = int(arr.min()), int(arr.max())
-                    lo[t] = a_lo if lo[t] is None else min(lo[t], a_lo)
-                    hi[t] = a_hi if hi[t] is None else max(hi[t], a_hi)
-            general = src.axis_signature() != dst.axis_signature()
-            if not general:
-                general = _stride_mismatch(src, dst, env)
-            if general:
-                # General comm has no routing distance: moves, not hops
-                # (mirrors count_move, keeping topology costs well-defined).
-                profile.fixed = profile.fixed + CostVector(moved=n)
-                profile.general_moves += 1
-                continue
-            for a1, a2 in zip(src.axes, dst.axes):
-                if a2.is_replicated and not a1.is_replicated:
-                    profile.broadcast += n
-            active = tuple(
-                t
-                for t, (a1, a2) in enumerate(zip(src.axes, dst.axes))
-                if not (a1.is_replicated or a2.is_replicated)
-            )
-            if not active:
-                continue
-            s = tuple(np.ascontiguousarray(src_pos[t]) for t in active)
-            d = tuple(np.ascontiguousarray(dst_pos[t]) for t in active)
-            if all(np.array_equal(a, b) for a, b in zip(s, d)):
-                continue  # no axis shifts: free under every distribution
-            key = (
-                active,
-                tuple(a.shape for a in s),
-                tuple(a.tobytes() for a in s),
-                tuple(a.tobytes() for a in d),
-            )
-            rec = dedup.get(key)
-            if rec is None:
-                rec = MoveRecord(active, s, d)
-                dedup[key] = rec
-                profile.records.append(rec)
-            else:
-                rec.count += 1
+        for env, mult in _edge_points(e, src, dst):
+            key = (_shape_at(e.tail, env), _axis_key(src, env), _axis_key(dst, env))
+            entry = keys.setdefault(key, [0, src, dst, env])
+            entry[0] += mult
+    lo = [math.inf] * rank
+    hi = [-math.inf] * rank
+    dedup: dict[tuple, MoveRecord] = {}
+    for (shape, skey, dkey), (count, src, dst, env) in keys.items():
+        n = math.prod(shape)
+        profile.elements += n * count
+        # Window bounds (same rule as executor.coordinate_bounds): every
+        # coordinate either end of a nonempty move reaches on a
+        # non-replicated axis.
+        for part_key in (skey, dkey) if n else ():
+            for t, part in enumerate(part_key):
+                if part != "R":
+                    a, b = _part_bounds(part, shape)
+                    lo[t], hi[t] = min(lo[t], a), max(hi[t], b)
+        if any(_body(a) != _body(b) for a, b in zip(skey, dkey)):
+            # General comm has no routing distance: moves, not hops
+            # (mirrors count_move, keeping topology costs well-defined).
+            profile.fixed = profile.fixed + CostVector(moved=n * count)
+            profile.general_moves += count
+            continue
+        profile.broadcast += n * count * sum(
+            a != "R" and b == "R" for a, b in zip(skey, dkey)
+        )
+        active = tuple(
+            t for t, (a, b) in enumerate(zip(skey, dkey)) if "R" not in (a, b)
+        )
+        # Axes and strides agree, so equal parts are equal coordinates:
+        # no axis shifts (or no elements), free under every distribution.
+        if not n or all(skey[t] == dkey[t] for t in active):
+            continue
+        src_pos = _cached_axis_positions(src, shape, env)
+        dst_pos = _cached_axis_positions(dst, shape, env)
+        s = tuple(np.ascontiguousarray(src_pos[t]) for t in active)
+        d = tuple(np.ascontiguousarray(dst_pos[t]) for t in active)
+        rkey = (
+            active,
+            tuple(a.shape for a in s),
+            tuple(a.tobytes() for a in s),
+            tuple(a.tobytes() for a in d),
+        )
+        rec = dedup.get(rkey)
+        if rec is None:
+            rec = dedup[rkey] = MoveRecord(active, s, d, 0)
+            profile.records.append(rec)
+        rec.count += count
     profile.window = tuple(
-        (0, 0) if l is None else (l, h)  # type: ignore[misc]
-        for l, h in zip(lo, hi)
+        (0, 0) if l > h else (l, h) for l, h in zip(lo, hi)
     )
     return profile
 

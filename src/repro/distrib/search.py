@@ -38,6 +38,7 @@ from .enumerate import (
     space_size,
 )
 from .plan import AxisPlan, DistributionPlan
+from .vectorized import axis_front_hops, front_costs
 
 EXHAUSTIVE_LIMIT = 20_000
 _ANCHOR = "$cost"
@@ -72,8 +73,6 @@ def _axis_hop_table(
         vectorized=vectorize,
     ):
         if vectorize:
-            from .vectorized import axis_front_hops
-
             return [
                 [
                     int(h)
@@ -151,13 +150,18 @@ def _finish(
     exact: bool,
     searched: int,
     topology: Topology | None = None,
+    vectorize: bool = True,
 ) -> DistributionPlan:
     from ..machine.distribution import Distribution
 
     dist = Distribution(tuple(a.to_axis_distribution() for a in axes))
+    if vectorize:
+        (cost,) = front_costs(profile, [dist], topology)
+    else:
+        cost = profile.evaluate(dist, topology)
     return DistributionPlan(
         tuple(axes),
-        profile.evaluate(dist, topology),
+        cost,
         exact,
         searched,
         topology=None if topology is None else topology.spec(),
@@ -212,9 +216,7 @@ def plan_distribution(
             for grid, cands in spaces:
                 metrics = _metrics_for_grid(topology, grid)
                 axes, _ = _solve_axes_dp(profile, cands, metrics, vectorize)
-                plan = _finish(
-                    profile, axes, exact=True, searched=covered, topology=topology
-                )
+                plan = _finish(profile, axes, True, covered, topology, vectorize)
                 if best is None or (plan.cost, plan.grid) < (best.cost, best.grid):
                     best = plan
             assert best is not None
@@ -269,15 +271,7 @@ def rank_plans(
         ]
         metrics = _metrics_for_grid(topology, grid)
         axes, _ = _solve_axes_dp(profile, cands, metrics, vectorize)
-        plans.append(
-            _finish(
-                profile,
-                axes,
-                exact=True,
-                searched=len(grids),
-                topology=topology,
-            )
-        )
+        plans.append(_finish(profile, axes, True, len(grids), topology, vectorize))
     plans.sort(key=lambda pl: (pl.cost, pl.grid))
     return plans[: max(1, k)]
 
@@ -393,6 +387,4 @@ def _local_search(
                 searched += 1
                 break
     assert best_axes is not None
-    return _finish(
-        profile, best_axes, exact=False, searched=searched, topology=topology
-    )
+    return _finish(profile, best_axes, False, searched, topology, vectorize)

@@ -7,17 +7,18 @@ per-axis DP prices hundreds of (scheme, grid) candidates per program.
 This module prices an *entire enumeration front* in a handful of
 broadcasted NumPy ops instead:
 
-* :func:`compile_front` stacks each profile's ragged move-record
-  coordinate arrays into padded 2-D tensors **once per profile** (rows =
-  records, columns = elements, padded slots carry zero weight), cached
-  on the profile and instrumented under the ``distrib.front_tensors``
-  cachestats counter;
+* :func:`compile_front` folds each profile's move records **once per
+  profile** into distinct coordinate tuples (per template axis and per
+  active-axes signature), each weighted by the element moves that make
+  it — hops and moves are elementwise, so pricing a tuple once times
+  its weight is exact — cached on the profile and instrumented under
+  the ``distrib.front_tensors`` cachestats counter;
 * :func:`axis_front_hops` maps one axis's template coordinates to
   processor coordinates for *all* candidate axis schemes at once —
   scheme parameters become broadcast arrays, the topology's vectorized
   metric kernels (:meth:`~repro.topology.AxisMetric.hops`) price the
-  whole ``(candidates, records, elements)`` tensor in one call — and
-  returns the per-candidate hop totals the per-axis DP consumes;
+  whole ``(candidates, tuples)`` array in one call — and returns the
+  per-candidate hop totals the per-axis DP consumes;
 * :func:`evaluate_front` prices full candidate distributions the same
   way and returns an ``(n_candidates, 3)`` cost matrix with columns
   ``(hops, moved, broadcast)``.
@@ -57,7 +58,7 @@ _FRONT_STATS = _cell("distrib.front_price")
 _TENSOR_STATS = _cell("distrib.front_tensors")
 
 # Candidates per broadcast chunk in evaluate_front: bounds peak memory
-# at chunk * records * elements without changing any result.
+# at chunk * distinct tuples without changing any result.
 _CHUNK = 64
 
 # Scheme codes for the broadcast kernels.
@@ -68,14 +69,10 @@ _MODE_IDENTITY = 2  # proc = cell
 
 @dataclass(frozen=True)
 class AxisFront:
-    """Padded 2-D tensors of every record touching one template axis.
-
-    ``src``/``dst`` are ``(records, max_len)`` int64 coordinate tensors;
-    rows shorter than ``max_len`` are padded with the row's own first
-    coordinate (always in-window, so padded slots stay inside every
-    candidate's covered range) and ``weight`` zeroes them out: a valid
-    slot carries the record's fold ``count``, a padded slot carries 0.
-    ``lo``/``hi`` bound the valid coordinates for contract checks.
+    """The distinct ``(src[u], dst[u])`` coordinate pairs of the records
+    touching one template axis, as ``(U,)`` int64 vectors; ``weight[u]``
+    counts the element moves making pair ``u`` (its records' ``count``
+    summed).  ``lo``/``hi`` bound the coordinates for contract checks.
     """
 
     src: np.ndarray
@@ -87,12 +84,13 @@ class AxisFront:
 
 @dataclass(frozen=True)
 class GroupFront:
-    """Padded tensors of all records sharing one active-axes signature.
+    """The distinct joint moves of all records sharing one signature.
 
-    Full-distribution pricing needs the per-record element mask "moved
-    on *any* active axis", so records are grouped by their ``axes``
-    tuple; ``src[j]``/``dst[j]`` are the ``(records, max_len)`` tensors
-    of active axis ``axes[j]``, sharing one ``weight``/padding layout.
+    Full-distribution pricing needs the per-element mask "moved on *any*
+    active axis", so records are grouped by their ``axes`` tuple:
+    ``src[j]``/``dst[j]`` are the ``(U,)`` coordinates on axis
+    ``axes[j]``, entry ``u`` of all of them one joint move made
+    ``weight[u]`` times.
     """
 
     axes: tuple[int, ...]
@@ -113,23 +111,43 @@ class FrontTensors:
     groups: tuple[GroupFront, ...]
 
 
-def _pad_rows(rows: Sequence[np.ndarray], counts: Sequence[int]):
-    """Stack ragged 1-D rows into (R, L) tensors plus the weight mask."""
-    n = len(rows)
-    length = max((r.size for r in rows), default=0)
-    src = np.zeros((n, length), dtype=np.int64)
-    weight = np.zeros((n, length), dtype=np.int64)
-    for i, (row, count) in enumerate(zip(rows, counts)):
-        if not row.size:
-            continue  # an empty record prices to zero via its weights
-        src[i, : row.size] = row
-        src[i, row.size :] = row[0]  # pad in-window: the row's first cell
-        weight[i, : row.size] = count
-    return src, weight
+def _fold(cols: Sequence[np.ndarray], weight: np.ndarray):
+    """Distinct columns of the coordinate vectors ``cols``, with the
+    weights of equal columns summed: ``(unique cols, weights)``."""
+    order = np.lexsort(cols[::-1])
+    cols = [c[order] for c in cols]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any([c[1:] != c[:-1] for c in cols], axis=0)
+    starts = np.flatnonzero(first)
+    return tuple(c[starts] for c in cols), np.add.reduceat(weight[order], starts)
+
+
+def _fold_records(picks):
+    """``(src vectors, dst vectors, weights)`` of the distinct joint moves
+    of ``(record, positions)`` picks, one vector per position (an index
+    into the record's ``axes``; every pick has as many)."""
+    weight = np.repeat(
+        np.array([r.count for r, _ in picks], dtype=np.int64),
+        [r.src[js[0]].size for r, js in picks],
+    )
+    k = len(picks[0][1])
+    cols = [
+        np.concatenate([getattr(r, end)[js[i]].ravel() for r, js in picks])
+        for end in ("src", "dst")
+        for i in range(k)
+    ]
+    folded, weight = _fold(cols, weight)
+    return folded[:k], folded[k:], weight
+
+
+def _bounds(src: np.ndarray, dst: np.ndarray) -> tuple[int, int]:
+    if not src.size:
+        return 0, 0  # no element moves on this axis
+    return int(min(src.min(), dst.min())), int(max(src.max(), dst.max()))
 
 
 def compile_front(profile) -> FrontTensors:
-    """The profile's padded coordinate tensors, compiled once and cached.
+    """The profile's folded coordinate tuples, compiled once and cached.
 
     The cache lives on the profile instance (like its per-candidate hop
     memo) so it ships with the profile across process pools and dies
@@ -142,56 +160,34 @@ def compile_front(profile) -> FrontTensors:
         return cached
     _TENSOR_STATS[1] += 1
 
-    rank = profile.template_rank
-    # -- per-axis stacks: every record touching axis t, ragged-padded.
-    axes: list[Optional[AxisFront]] = []
-    for t in range(rank):
-        srcs, dsts, counts = [], [], []
-        for r in profile.records:
-            if t not in r.axes:
-                continue
-            j = r.axes.index(t)
-            srcs.append(r.src[j].ravel())
-            dsts.append(r.dst[j].ravel())
-            counts.append(r.count)
-        if not srcs:
-            axes.append(None)
-            continue
-        src, weight = _pad_rows(srcs, counts)
-        dst, _ = _pad_rows(dsts, counts)
-        filled = [a for a in srcs + dsts if a.size]
-        lo = min((int(a.min()) for a in filled), default=0)
-        hi = max((int(a.max()) for a in filled), default=0)
-        axes.append(AxisFront(src, dst, weight, lo, hi))
-
-    # -- per-signature groups for full-distribution pricing.
+    # -- per-signature joint tuples for full-distribution pricing.
     by_axes: dict[tuple[int, ...], list] = {}
     for r in profile.records:
         by_axes.setdefault(r.axes, []).append(r)
     groups = []
     for sig, recs in by_axes.items():
-        counts = [r.count for r in recs]
-        srcs = []
-        dsts = []
-        for j in range(len(sig)):
-            s, weight = _pad_rows([r.src[j].ravel() for r in recs], counts)
-            d, _ = _pad_rows([r.dst[j].ravel() for r in recs], counts)
-            srcs.append(s)
-            dsts.append(d)
-        def _bound(j: int, fn) -> int:
-            vals = [
-                fn(arr)
-                for r in recs
-                for arr in (r.src[j], r.dst[j])
-                if arr.size
-            ]
-            return int(fn(np.array(vals))) if vals else 0
+        srcs, dsts, weight = _fold_records(
+            [(r, range(len(sig))) for r in recs]
+        )
+        lo, hi = zip(*(_bounds(a, b) for a, b in zip(srcs, dsts)))
+        groups.append(GroupFront(sig, srcs, dsts, weight, lo, hi))
 
-        lo = tuple(_bound(j, np.min) for j in range(len(sig)))
-        hi = tuple(_bound(j, np.max) for j in range(len(sig)))
-        groups.append(GroupFront(sig, tuple(srcs), tuple(dsts), weight, lo, hi))
+    # -- per-axis pairs: every record touching axis t.  When one
+    # single-axis group holds all of them, its tuples are the pairs.
+    axes: list[Optional[AxisFront]] = []
+    for t in range(profile.template_rank):
+        touching = [g for g in groups if t in g.axes]
+        if not touching:
+            axes.append(None)
+        elif len(touching) == 1 and touching[0].axes == (t,):
+            g = touching[0]
+            axes.append(AxisFront(g.src[0], g.dst[0], g.weight, g.lo[0], g.hi[0]))
+        else:
+            picks = [(r, (r.axes.index(t),)) for r in profile.records if t in r.axes]
+            (src,), (dst,), weight = _fold_records(picks)
+            axes.append(AxisFront(src, dst, weight, *_bounds(src, dst)))
 
-    tensors = FrontTensors(rank, tuple(axes), tuple(groups))
+    tensors = FrontTensors(profile.template_rank, tuple(axes), tuple(groups))
     profile._front_tensors = tensors
     return tensors
 
@@ -249,8 +245,8 @@ def _proc_coords(
     block: np.ndarray,
     base: np.ndarray,
 ) -> np.ndarray:
-    """Processor coordinates of ``cells`` (R, L) under every candidate
-    at once: (C, R, L) via broadcasting.
+    """Processor coordinates of ``cells`` (U,) under every candidate
+    at once: (C, U) via broadcasting.
 
     Cyclic is block-cyclic with block 1, so the wrap modes share one
     kernel; identity rows pass coordinates through unchanged.
@@ -266,7 +262,7 @@ def _metric_hops(
     metric: Optional[AxisMetric], a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
     # None is the paper's open chain; every registered metric kernel is
-    # elementwise-broadcasting, so (C, R, L) tensors go through in one call.
+    # elementwise-broadcasting, so (C, U) arrays go through in one call.
     if metric is None:
         return np.abs(a - b)
     return metric.hops(a, b)
@@ -305,8 +301,7 @@ def axis_front_hops(
     _check_contract(mode, p, block, base, front.lo, front.hi)
     ps = _proc_coords(front.src, mode, p, block, base)
     pd = _proc_coords(front.dst, mode, p, block, base)
-    hops = _metric_hops(metric, ps, pd)
-    return np.sum(front.weight[None] * hops, axis=(1, 2), dtype=np.int64)
+    return _metric_hops(metric, ps, pd) @ front.weight
 
 
 def _front_metrics(
@@ -355,7 +350,7 @@ def evaluate_front(
         idx = list(range(start, stop))
         for g in tensors.groups:
             hops = np.zeros(len(idx), dtype=np.int64)
-            moved_any: Optional[np.ndarray] = None
+            moved_any = np.zeros((len(idx), g.weight.size), dtype=bool)
             for j, t in enumerate(g.axes):
                 mode, p, block, base = (
                     np.array([params[i][t][k] for i in idx], dtype=np.int64)
@@ -364,8 +359,7 @@ def evaluate_front(
                 _check_contract(mode, p, block, base, g.lo[j], g.hi[j])
                 ps = _proc_coords(g.src[j], mode, p, block, base)
                 pd = _proc_coords(g.dst[j], mode, p, block, base)
-                neq = ps != pd
-                moved_any = neq if moved_any is None else (moved_any | neq)
+                moved_any |= ps != pd
                 # Candidates in the chunk can price this axis with
                 # different metrics (different grids / physical axes):
                 # group rows by metric so each kernel runs once.
@@ -373,15 +367,9 @@ def evaluate_front(
                 for row, i in enumerate(idx):
                     rows_by_metric.setdefault(metrics[i][t], []).append(row)
                 for metric, rows in rows_by_metric.items():
-                    h = _metric_hops(metric, ps[rows], pd[rows])
-                    hops[rows] += np.sum(
-                        g.weight[None] * h, axis=(1, 2), dtype=np.int64
-                    )
-            assert moved_any is not None
+                    hops[rows] += _metric_hops(metric, ps[rows], pd[rows]) @ g.weight
             out[start:stop, 0] += hops
-            out[start:stop, 1] += np.sum(
-                g.weight[None] * moved_any, axis=(1, 2), dtype=np.int64
-            )
+            out[start:stop, 1] += moved_any @ g.weight
     _FRONT_STATS[0] += n
     return out
 

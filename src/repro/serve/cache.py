@@ -55,8 +55,10 @@ from .._io import atomic_write_bytes
 #: persisted entry is stamped with it and mismatches are invalidated at
 #: load time (deleted, reported as misses).  2: prefix contexts carry
 #: statement-provenance-stamped ADGs (``ADGNode.stmt``), which the
-#: delta replan path reads.
-SCHEMA_VERSION = 2
+#: delta replan path reads.  3: the comm profile pickled inside a prefix
+#: context carries its compiled front tensors as folded ``(U,)`` tuples
+#: with weights, no longer padded ``(records, elements)`` tensors.
+SCHEMA_VERSION = 3
 
 #: Sentinel distinguishing "no entry" from a stored ``None`` payload.
 MISS = object()

@@ -85,3 +85,34 @@ class TestCostEvaluator:
         plan = align_program(programs.example5(iters=10, m=4))
         kinds = [ec.kind for ec in plan.breakdown() if ec.cost > 0]
         assert "general" in kinds
+
+
+class TestMomentReuse:
+    """Every closed-form moment sum goes through ``cached_moments``."""
+
+    def _plan(self):
+        return align_program(programs.figure1(n=16))
+
+    def test_moments_hit_within_one_plan(self):
+        from repro import cachestats
+        from repro.align.cost import _MOMENTS
+
+        _MOMENTS.clear()
+        before = cachestats.snapshot()
+        self._plan()
+        hits, misses = cachestats.delta(before).get("align.moments", (0, 0))
+        # The offset LPs, the replication cut and the axis-stride weights
+        # re-ask for the same few (space, weight) sums every round: most
+        # lookups hit.
+        assert misses > 0 and hits > misses
+
+    def test_plan_unchanged_without_the_memo(self, monkeypatch):
+        from repro.align import axis_stride, cost, offset_static, replication
+        from repro.ir.closedform import weighted_moments
+
+        cached = self._plan()
+        for mod in (axis_stride, cost, offset_static, replication):
+            monkeypatch.setattr(mod, "cached_moments", weighted_moments)
+        fresh = self._plan()
+        assert fresh.alignments == cached.alignments
+        assert fresh.total_cost == cached.total_cost

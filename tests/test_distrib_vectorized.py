@@ -30,8 +30,10 @@ from repro.distrib.vectorized import (
     _MODE_IDENTITY,
     _MODE_WRAP,
     _axis_dist_params,
-    _pad_rows,
+    _fold,
+    _fold_records,
 )
+from repro.distrib.costmodel import MoveRecord
 from repro.lang import programs
 from repro.machine import Block, BlockCyclic, Cyclic, Distribution, Identity
 from repro.machine.distribution import AxisDistribution
@@ -48,24 +50,33 @@ def profile():
     return _profile(programs.figure1(n=12), replication=False)
 
 
-class TestPadRows:
-    def test_ragged_rows_pad_with_first_coordinate(self):
-        rows = [np.array([5, 6, 7]), np.array([9]), np.array([2, 3])]
-        src, weight = _pad_rows(rows, [10, 20, 30])
-        assert src.shape == weight.shape == (3, 3)
-        # Padded slots repeat the row's own first cell (always
-        # in-window) and carry zero weight.
-        assert src.tolist() == [[5, 6, 7], [9, 9, 9], [2, 3, 2]]
-        assert weight.tolist() == [[10, 10, 10], [20, 0, 0], [30, 30, 0]]
+class TestFold:
+    def test_equal_tuples_fold_with_summed_weights(self):
+        src = np.array([5, 9, 5, 2, 5])
+        dst = np.array([6, 9, 6, 3, 7])
+        (s, d), w = _fold([src, dst], np.array([10, 20, 30, 40, 50]))
+        # Each distinct (src, dst) pair once, carrying the weight of
+        # every element move that makes it.
+        assert list(zip(s.tolist(), d.tolist(), w.tolist())) == [
+            (2, 3, 40),
+            (5, 6, 40),
+            (5, 7, 50),
+            (9, 9, 20),
+        ]
 
-    def test_empty_row_contributes_nothing(self):
-        src, weight = _pad_rows([np.array([], dtype=np.int64), np.array([4])], [7, 8])
-        assert weight[0].tolist() == [0]
-        assert weight[1].tolist() == [8]
+    def test_empty_record_contributes_nothing(self):
+        empty = np.array([], dtype=np.int64)
+        recs = [
+            MoveRecord((0,), (empty,), (empty,), count=7),
+            MoveRecord((0,), (np.array([4, 4]),), (np.array([5, 5]),), count=8),
+        ]
+        (s,), (d,), w = _fold_records([(r, (0,)) for r in recs])
+        assert (s.tolist(), d.tolist(), w.tolist()) == ([4], [5], [16])
 
     def test_all_empty(self):
-        src, weight = _pad_rows([], [])
-        assert src.shape == (0, 0) and weight.shape == (0, 0)
+        empty = np.array([], dtype=np.int64)
+        (s, d), w = _fold([empty, empty], empty)
+        assert s.shape == d.shape == w.shape == (0,)
 
 
 class TestAxisDistParams:
@@ -97,21 +108,33 @@ class TestCompileFront:
     def test_tensor_shapes_cover_every_record(self, profile):
         tensors = compile_front(profile)
         assert tensors.template_rank == profile.template_rank
-        n_group_rows = sum(g.weight.shape[0] for g in tensors.groups)
-        assert n_group_rows == len(profile.records)
+        assert {g.axes for g in tensors.groups} == {
+            r.axes for r in profile.records
+        }
         for front in tensors.axes:
             if front is None:
                 continue
             assert front.src.shape == front.dst.shape == front.weight.shape
-            assert front.lo <= front.hi
+            assert front.src.ndim == 1 and front.lo <= front.hi
+            assert np.all(front.weight > 0)
+        for g in tensors.groups:
+            for a in g.src + g.dst:
+                assert a.shape == g.weight.shape
 
-    def test_weights_zero_exactly_on_padding(self, profile):
-        # Reconstruct total moved elements from the group tensors: the
-        # sum of weights must equal count * len for every record.
+    def test_weights_sum_to_element_moves(self, profile):
+        # Reconstruct total moved elements from the group tuples: the
+        # sum of weights must equal count * len over every record.
         tensors = compile_front(profile)
         want = sum(r.count * r.src[0].size for r in profile.records if r.axes)
         got = sum(int(g.weight.sum()) for g in tensors.groups if g.axes)
         assert got == want
+        for t, front in enumerate(tensors.axes):
+            if front is None:
+                continue
+            want_t = sum(
+                r.count * r.src[0].size for r in profile.records if t in r.axes
+            )
+            assert int(front.weight.sum()) == want_t
 
 
 class TestFrontEdgeCases:
